@@ -8,8 +8,9 @@ Workloads (``BENCHMARK.json`` says why each one is there):
   fresh directory, SVG on, no cache.
 * ``suite-warm``    the same with ``--cache-dir`` on a cache filled in
   set-up.
-* ``serve-mixed``   ``epg serve --graphs kron:14`` driven closed-loop by two
-  clients over the twelve supported (system, algorithm) cells.
+* ``serve-mixed``   ``epg serve --graphs kron:14 --workers 1`` driven
+  closed-loop by two clients over the twelve supported (system,
+  algorithm) cells.
 * ``stream-repair`` ``epg stream --scale 15 --batches 24 --batch-edges 512``
   with BFS, SSSP and PageRank repair.
 
