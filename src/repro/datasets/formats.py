@@ -19,6 +19,7 @@ plain          ``.el`` / ``.wel`` -- text edge list
 from __future__ import annotations
 
 import struct
+from collections.abc import Iterator
 from pathlib import Path
 
 import numpy as np
@@ -27,6 +28,7 @@ from repro.errors import GraphFormatError
 from repro.graph.edgelist import EdgeList
 
 __all__ = [
+    "WeightedRows",
     "write_el", "read_el",
     "write_sg", "read_sg",
     "write_g500", "read_g500",
@@ -39,21 +41,92 @@ _SG_MAGIC = b"GAPBSSG1"
 _G500_MAGIC = b"GRPH500E"
 _GMAT_MAGIC = b"GMATBIN1"
 
+#: Rows per rendered chunk: bounds the Python values and text the row
+#: writer holds at once, whatever the edge count.
+_CHUNK_ROWS = 1 << 12
+
+
+# ----------------------------------------------------------------------
+# Text rows: the one writer behind every text format.
+# ----------------------------------------------------------------------
+def _render_rows(row_fmt: str, columns) -> Iterator[str]:
+    """Yield the rows of the aligned 1-D ``columns`` as text, in chunks.
+
+    ``row_fmt`` is one row's ``%`` format including its ``"\\n"``.  Each
+    chunk is a single ``%`` over ``row_fmt`` repeated once per row, fed
+    the chunk's ``.tolist()`` values interleaved row-major.  The bytes
+    equal ``np.savetxt(fh, np.column_stack(columns), fmt=row_fmt[:-1])``
+    (savetxt also formats each row with ``%``); integer columns stay
+    integers instead of passing through savetxt's float64 cast, which
+    agrees for every id below 2**53.
+    """
+    k = len(columns)
+    for lo in range(0, len(columns[0]), _CHUNK_ROWS):
+        values = [c[lo:lo + _CHUNK_ROWS].tolist() for c in columns]
+        n_rows = len(values[0])
+        flat = [None] * (k * n_rows)
+        for j, col in enumerate(values):
+            flat[j::k] = col
+        yield (row_fmt * n_rows) % tuple(flat)
+
+
+class WeightedRows:
+    """The ``src dst weight`` rows of one weighted edge list, rendered
+    once and written with any separator.
+
+    ``.wel``, PowerGraph's ``.tsv`` and GraphBIG's ``edge.csv`` hold the
+    same ``%d?%d?%.17g`` rows and differ only in the separator.  No
+    rendered number contains a space, tab or comma, so swapping the
+    separator in the rendered text is byte-identical to formatting the
+    rows again.  The first :meth:`write` renders; later ones reuse the
+    text, which lives exactly as long as this object -- keep one per
+    :func:`~repro.datasets.homogenize.homogenize` call, never longer.
+    """
+
+    __slots__ = ("edges", "_chunks")
+
+    def __init__(self, edges: EdgeList):
+        self.edges = edges
+        self._chunks: list[str] | None = None
+
+    def write(self, fh, sep: str) -> None:
+        if self._chunks is None:
+            el = self.edges
+            self._chunks = list(_render_rows(
+                "%d %d %.17g\n", (el.src, el.dst, el.weights)))
+        for chunk in self._chunks:
+            fh.write(chunk if sep == " " else chunk.replace(" ", sep))
+
+
+def _write_edge_rows(fh, edges: EdgeList, sep: str,
+                     rows: WeightedRows | None) -> None:
+    """``src<sep>dst[<sep>weight]`` per line, reusing ``rows`` (which
+    must have been made for ``edges``) when the list is weighted."""
+    if not edges.weighted:
+        fh.writelines(_render_rows(f"%d{sep}%d\n", (edges.src, edges.dst)))
+    elif rows is None:
+        fh.writelines(_render_rows(f"%d{sep}%d{sep}%.17g\n",
+                                   (edges.src, edges.dst, edges.weights)))
+    elif rows.edges is not edges:
+        raise ValueError("rows were rendered from a different edge list")
+    else:
+        rows.write(fh, sep)
+
 
 # ----------------------------------------------------------------------
 # Plain text edge lists (.el / .wel) -- GAP's converter input format.
 # ----------------------------------------------------------------------
-def write_el(edges: EdgeList, path: str | Path) -> Path:
-    """Write ``src dst [weight]`` per line; extension picks weighting."""
+def write_el(edges: EdgeList, path: str | Path,
+             rows: WeightedRows | None = None) -> Path:
+    """Write ``src dst [weight]`` per line; extension picks weighting.
+
+    ``rows`` (weighted lists only) reuses text another writer already
+    rendered for the same edge list; see :class:`WeightedRows`.
+    """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    if edges.weighted:
-        cols = np.column_stack([
-            edges.src.astype(np.float64), edges.dst.astype(np.float64),
-            edges.weights])
-        np.savetxt(path, cols, fmt="%d %d %.17g")
-    else:
-        np.savetxt(path, np.column_stack([edges.src, edges.dst]), fmt="%d %d")
+    with path.open("w", encoding="utf-8") as fh:
+        _write_edge_rows(fh, edges, " ", rows)
     return path
 
 
@@ -178,26 +251,17 @@ def read_g500(path: str | Path, name: str = "graph") -> EdgeList:
 # ----------------------------------------------------------------------
 # GraphBIG (IBM System G) CSV pair: vertex.csv + edge.csv.
 # ----------------------------------------------------------------------
-def write_graphbig_csv(edges: EdgeList, directory: str | Path) -> Path:
+def write_graphbig_csv(edges: EdgeList, directory: str | Path,
+                       rows: WeightedRows | None = None) -> Path:
     """GraphBIG datasets are directories holding vertex and edge CSVs."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    vpath = directory / "vertex.csv"
-    epath = directory / "edge.csv"
-    with vpath.open("w", encoding="utf-8") as fh:
+    with (directory / "vertex.csv").open("w", encoding="utf-8") as fh:
         fh.write("id\n")
-        np.savetxt(fh, np.arange(edges.n_vertices, dtype=np.int64), fmt="%d")
-    with epath.open("w", encoding="utf-8") as fh:
-        if edges.weighted:
-            fh.write("src,dst,weight\n")
-            cols = np.column_stack([
-                edges.src.astype(np.float64), edges.dst.astype(np.float64),
-                edges.weights])
-            np.savetxt(fh, cols, fmt="%d,%d,%.17g")
-        else:
-            fh.write("src,dst\n")
-            np.savetxt(fh, np.column_stack([edges.src, edges.dst]),
-                       fmt="%d,%d")
+        fh.writelines(_render_rows("%d\n", (np.arange(edges.n_vertices),)))
+    with (directory / "edge.csv").open("w", encoding="utf-8") as fh:
+        fh.write("src,dst,weight\n" if edges.weighted else "src,dst\n")
+        _write_edge_rows(fh, edges, ",", rows)
     return directory
 
 
@@ -266,17 +330,12 @@ def read_graphmat_bin(path: str | Path, directed: bool = True,
 # ----------------------------------------------------------------------
 # PowerGraph TSV (its snap/tsv loader).
 # ----------------------------------------------------------------------
-def write_powergraph_tsv(edges: EdgeList, path: str | Path) -> Path:
+def write_powergraph_tsv(edges: EdgeList, path: str | Path,
+                         rows: WeightedRows | None = None) -> Path:
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    if edges.weighted:
-        cols = np.column_stack([
-            edges.src.astype(np.float64), edges.dst.astype(np.float64),
-            edges.weights])
-        np.savetxt(path, cols, fmt="%d\t%d\t%.17g")
-    else:
-        np.savetxt(path, np.column_stack([edges.src, edges.dst]),
-                   fmt="%d\t%d")
+    with path.open("w", encoding="utf-8") as fh:
+        _write_edge_rows(fh, edges, "\t", rows)
     return path
 
 

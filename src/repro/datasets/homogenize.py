@@ -181,11 +181,14 @@ def homogenize(edges: EdgeList, out_dir: str | Path,
 
     unweighted_el = EdgeList(edges.src, edges.dst, edges.n_vertices,
                              directed=edges.directed, name=name)
+    # .wel, .tsv and edge.csv share one rendering of the weighted rows;
+    # it dies with this call.
+    rows = formats.WeightedRows(weighted_el)
     writers = [
         ("el", lambda: formats.write_el(unweighted_el,
                                         ddir / f"{name}.el")),
         ("wel", lambda: formats.write_el(weighted_el,
-                                         ddir / f"{name}.wel")),
+                                         ddir / f"{name}.wel", rows)),
         ("sg", lambda: formats.write_sg(
             edges, ddir / f"{name}.sg", symmetrize=not edges.directed)),
         ("wsg", lambda: formats.write_sg(
@@ -196,9 +199,9 @@ def homogenize(edges: EdgeList, out_dir: str | Path,
         ("mtxbin", lambda: formats.write_graphmat_bin(
             weighted_el, ddir / f"{name}.mtxbin")),
         ("tsv", lambda: formats.write_powergraph_tsv(
-            weighted_el, ddir / f"{name}.tsv")),
+            weighted_el, ddir / f"{name}.tsv", rows)),
         ("graphbig", lambda: formats.write_graphbig_csv(
-            weighted_el, ddir / "graphbig")),
+            weighted_el, ddir / "graphbig", rows)),
     ]
     for key, write in writers:
         if tracer is not None:
@@ -210,7 +213,8 @@ def homogenize(edges: EdgeList, out_dir: str | Path,
 
     roots = select_roots(edges, n_roots=n_roots, seed=seed)
     roots_path = ddir / "roots.txt"
-    np.savetxt(roots_path, roots, fmt="%d")
+    with roots_path.open("w", encoding="utf-8") as fh:
+        fh.writelines(formats._render_rows("%d\n", (roots,)))
     files["roots"] = _rel(roots_path)
 
     manifest = {

@@ -4,9 +4,10 @@ CSR is the representation the paper reports for the Graph500, GAP, and
 GraphBIG (Sec. III-C); PowerGraph layers a vertex-cut scheme on top of it
 and GraphMat doubly-compresses it (:mod:`repro.graph.dcsr`).
 
-Construction is fully vectorized: a counting sort over ``src`` via
-``np.bincount``/``cumsum`` plus a stable ``argsort`` for the column
-order, which mirrors what the C systems do (bucket by row, then place).
+Construction is fully vectorized: one stable ``argsort`` of the scalar
+keys ``src * n + dst`` orders the arcs by row, then by column, and a
+``searchsorted`` of each row's first key gives ``row_ptr`` -- the C
+systems' bucket-by-row-then-place, in one sort.
 """
 
 from __future__ import annotations
@@ -18,7 +19,32 @@ import numpy as np
 from repro.errors import GraphFormatError
 from repro.graph.edgelist import EdgeList
 
-__all__ = ["CSRGraph"]
+__all__ = ["CSRGraph", "MAX_KEYED_VERTICES", "check_key_space",
+           "check_vertex_ids"]
+
+#: Largest ``n`` whose arc keys ``src * n + dst < n**2`` fit in int64.
+MAX_KEYED_VERTICES = 3_037_000_499
+
+
+def check_key_space(n: int) -> None:
+    """Refuse, before allocating anything, an ``n`` whose keys overflow."""
+    if n > MAX_KEYED_VERTICES:
+        raise GraphFormatError(
+            f"n = {n} vertices: src * n + dst keys overflow int64 "
+            f"(at most {MAX_KEYED_VERTICES} vertices)")
+
+
+def check_vertex_ids(arr: np.ndarray, n: int, name: str) -> None:
+    """Raise :class:`GraphFormatError` naming the first id of ``arr``
+    outside ``[0, n)``, whose key ``src * n + dst`` would silently
+    alias another arc's."""
+    if arr.size:
+        bad = (arr < 0) | (arr >= n)
+        if bad.any():
+            i = int(np.argmax(bad))
+            raise GraphFormatError(
+                f"{name}[{i}] = {int(arr[i])}: vertex id out of range "
+                f"[0, {n})")
 
 
 @dataclass(frozen=True)
@@ -50,36 +76,39 @@ class CSRGraph:
     @staticmethod
     def from_arrays(src: np.ndarray, dst: np.ndarray, n: int,
                     weights: np.ndarray | None = None) -> "CSRGraph":
-        """Build CSR from parallel endpoint arrays (counting sort).
+        """Build CSR from parallel endpoint arrays.
 
-        Endpoints are validated against ``[0, n)`` first: an id ``>= n``
-        used to surface as a raw NumPy shape error out of the
-        ``bincount``/``cumsum`` pair, and a *negative* id silently
-        corrupted the counting sort (``bincount`` rejects it only
-        sometimes, and ``row_ptr`` went inconsistent).  Mutation batches
-        arriving from event streams make this path load-bearing.
+        One stable ``argsort`` of the keys ``src * n + dst`` orders the
+        arcs by ``(src, dst)``, parallel arcs in input order -- the order
+        :class:`~repro.graph.dynamic.DynamicGraph` keeps its arcs in --
+        and :meth:`from_sorted_keys` decodes them.  Endpoints are
+        validated against ``[0, n)`` first (see :func:`check_vertex_ids`).
         """
+        check_key_space(n)
         src = np.asarray(src, dtype=np.int64)
         dst = np.asarray(dst, dtype=np.int64)
-        for name, arr in (("src", src), ("dst", dst)):
-            if arr.size:
-                bad = (arr < 0) | (arr >= n)
-                if bad.any():
-                    i = int(np.argmax(bad))
-                    raise GraphFormatError(
-                        f"{name}[{i}] = {int(arr[i])}: vertex id out of "
-                        f"range [0, {n})")
-        counts = np.bincount(src, minlength=n)
-        row_ptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(counts, out=row_ptr[1:])
-        # Stable sort by (src, dst) gives per-row sorted neighbor lists.
-        order = np.lexsort((dst, src))
-        col_idx = np.ascontiguousarray(dst[order])
-        w = None
+        check_vertex_ids(src, n, "src")
+        check_vertex_ids(dst, n, "dst")
+        keys = src * np.int64(n)
+        keys += dst
+        order = np.argsort(keys, kind="stable")
+        keys = keys[order]
         if weights is not None:
-            w = np.ascontiguousarray(
-                np.asarray(weights, dtype=np.float64)[order])
-        return CSRGraph(row_ptr=row_ptr, col_idx=col_idx, weights=w)
+            weights = np.asarray(weights, dtype=np.float64)[order]
+        del order  # only keys, weights and the decode's output stay live
+        return CSRGraph.from_sorted_keys(keys, n, weights)
+
+    @staticmethod
+    def from_sorted_keys(keys: np.ndarray, n: int,
+                         weights: np.ndarray | None = None) -> "CSRGraph":
+        """Decode ascending ``src * n + dst`` keys into CSR, ``O(m + n)``.
+
+        ``weights`` is aligned with ``keys`` and shared, not copied.
+        """
+        # Row v starts at the first key >= v * n; n == 0 has no keys.
+        row_ptr = np.searchsorted(keys, np.arange(n + 1, dtype=np.int64) * n)
+        return CSRGraph(row_ptr=row_ptr, col_idx=keys % max(n, 1),
+                        weights=weights)
 
     @staticmethod
     def from_edge_list(edges: EdgeList, symmetrize: bool = False) -> "CSRGraph":

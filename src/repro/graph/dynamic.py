@@ -15,11 +15,12 @@ passes: delete lookup via ``searchsorted``, last-write-wins dedup of
 the inserts, and a sorted merge (``np.insert``).  No Python-level loop
 ever touches an edge.
 
-Why sorted keys: for *distinct* pairs, ascending ``src * n + dst``
-order is exactly the ``np.lexsort((dst, src))`` order
-:meth:`CSRGraph.from_arrays` produces, so :meth:`DynamicGraph.snapshot`
-can decode the key array straight into a CSR that is **byte-identical**
-to rebuilding ``CSRGraph.from_arrays`` from the replayed edge list --
+Why sorted keys: :meth:`CSRGraph.from_arrays` builds by one stable
+sort of the same ``src * n + dst`` keys, so :meth:`DynamicGraph.snapshot`
+can decode the key array (through the same
+:meth:`CSRGraph.from_sorted_keys`) straight into a CSR that is
+**byte-identical** to rebuilding ``CSRGraph.from_arrays`` from the
+replayed edge list --
 the property the hypothesis suite in ``tests/graph/test_dynamic.py``
 pins down and the incremental kernels' differential gate relies on.
 
@@ -34,7 +35,10 @@ Semantics of one batch (matching an OpsLog-style event stream):
 * inserting an existing arc overwrites its weight (last write wins,
   also within the batch);
 * endpoints are validated against ``[0, n)`` up front, raising
-  :class:`~repro.errors.GraphFormatError` naming the offending index.
+  :class:`~repro.errors.GraphFormatError` naming the offending index
+  (the validator :meth:`CSRGraph.from_arrays` uses);
+* ``n`` above :data:`~repro.graph.csr.MAX_KEYED_VERTICES` is refused
+  at construction: its keys would overflow int64.
 """
 
 from __future__ import annotations
@@ -44,7 +48,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.errors import GraphFormatError
-from repro.graph.csr import CSRGraph
+from repro.graph.csr import CSRGraph, check_key_space, check_vertex_ids
 from repro.graph.edgelist import EdgeList
 
 __all__ = ["MutationBatch", "AppliedBatch", "DynamicGraph",
@@ -171,6 +175,7 @@ class DynamicGraph:
         n = int(n)
         if n < 0:
             raise GraphFormatError("n must be non-negative")
+        check_key_space(n)
         self.n = n
         self.weighted = bool(weighted)
         self._keys = _EMPTY_IDS
@@ -216,17 +221,6 @@ class DynamicGraph:
                 None if self._w is None else self._w.copy())
 
     # ------------------------------------------------------------------
-    def _check_ids(self, arr: np.ndarray, kind: str,
-                   name: str) -> None:
-        if arr.size == 0:
-            return
-        bad = (arr < 0) | (arr >= self.n)
-        if bad.any():
-            i = int(np.argmax(bad))
-            raise GraphFormatError(
-                f"{kind} {name}[{i}] = {int(arr[i])}: vertex id out of "
-                f"range [0, {self.n})")
-
     def apply(self, batch: MutationBatch) -> AppliedBatch:
         """Apply one batch; return its effective delta.
 
@@ -234,10 +228,10 @@ class DynamicGraph:
         full semantics.  Never mutates arrays shared with an earlier
         :meth:`snapshot`.
         """
-        self._check_ids(batch.delete_src, "delete", "src")
-        self._check_ids(batch.delete_dst, "delete", "dst")
-        self._check_ids(batch.insert_src, "insert", "src")
-        self._check_ids(batch.insert_dst, "insert", "dst")
+        for name in ("delete_src", "delete_dst", "insert_src",
+                     "insert_dst"):
+            check_vertex_ids(getattr(batch, name), self.n,
+                             name.replace("_", " "))
         if self.weighted and batch.n_inserts and \
                 batch.insert_weights is None:
             raise GraphFormatError(
@@ -324,21 +318,12 @@ class DynamicGraph:
         """Materialize the live arc set as an immutable CSR.
 
         Byte-identical to ``CSRGraph.from_arrays`` over the replayed
-        edge list: the keys are already in ``lexsort((dst, src))``
-        order, so this is a pure decode -- ``O(m + n)``, no sort.
+        edge list: both decode the same ascending ``src * n + dst`` keys
+        through :meth:`CSRGraph.from_sorted_keys`, here without a sort.
+        ``_w`` is copy-on-write (see :meth:`apply`), so sharing it keeps
+        the snapshot immutable.
         """
-        n = self.n
-        row_ptr = np.zeros(n + 1, dtype=np.int64)
-        if n == 0 or not self._keys.size:
-            return CSRGraph(row_ptr=row_ptr, col_idx=_EMPTY_IDS.copy(),
-                            weights=(_EMPTY_W.copy() if self.weighted
-                                     else None))
-        src = self._keys // n
-        np.cumsum(np.bincount(src, minlength=n), out=row_ptr[1:])
-        # ``% n`` allocates fresh arrays; ``_w`` is copy-on-write (see
-        # apply), so sharing it keeps the snapshot immutable.
-        return CSRGraph(row_ptr=row_ptr, col_idx=self._keys % n,
-                        weights=self._w)
+        return CSRGraph.from_sorted_keys(self._keys, self.n, self._w)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (f"DynamicGraph(n={self.n}, arcs={self.n_arcs}, "

@@ -9,10 +9,11 @@ page-faulting ``malloc`` per array per round on large graphs.  A
 set of named vertex-sized arrays and hands out views, so steady-state
 rounds perform zero allocations.
 
-Scratch is *per graph object*: :func:`scratch_for` memoizes one
-:class:`KernelScratch` per structure (CSR, DCSR, GAP graph pair, GAS
-engine, ...) in a :class:`weakref.WeakKeyDictionary`, so buffers die
-with the graph and two graphs never share (or race on) an arena.
+Scratch is *per graph object and per thread*: :func:`scratch_for`
+memoizes one :class:`KernelScratch` per structure (CSR, DCSR, GAP graph
+pair, GAS engine, ...) and calling thread, evicted by a finalizer on the
+structure, so buffers die with the graph and no two graphs or threads
+share (or race on) an arena.
 
 Bit-identity note: scratch only changes *where* intermediates live,
 never their values.  Mask buffers are handed out all-``False`` and the
@@ -28,6 +29,7 @@ visibility without perturbing ``events.jsonl``).
 
 from __future__ import annotations
 
+import threading
 import weakref
 
 import numpy as np
@@ -121,33 +123,42 @@ class KernelScratch:
         mask[touched] = False
 
 
-#: One scratch per live graph structure, keyed by ``id`` (the graph
+#: Scratch per live graph structure and per thread: ``id(graph) ->
+#: {thread ident: KernelScratch}``.  Keyed by ``id`` (the graph
 #: dataclasses hold ndarrays, so they are unhashable and cannot key a
-#: ``WeakKeyDictionary``); a finalizer evicts the entry when the graph
-#: dies, before its id can be recycled.
-_SCRATCHES: dict[int, KernelScratch] = {}
+#: ``WeakKeyDictionary``); a finalizer evicts a graph's arenas when it
+#: dies, before its id can be recycled.  Threads that share one graph
+#: (the daemon's kernel workers) each get their own arena: a kernel
+#: holds views into it across rounds, so a shared one races.
+_SCRATCHES: dict[int, dict[int, KernelScratch]] = {}
 
 
 def scratch_for(obj: object, n_vertices: int,
                 n_edges: int = 0) -> KernelScratch:
-    """The memoized :class:`KernelScratch` for ``obj``.
+    """The memoized :class:`KernelScratch` for ``obj`` on this thread.
 
     ``obj`` is any weakref-able structure whose lifetime should bound
     the buffers' (a :class:`~repro.graph.csr.CSRGraph`, a GAP graph
-    pair, a GAS engine...).  Repeated kernels on the same graph share
-    one arena; the first call sizes it.
+    pair, a GAS engine...).  Repeated kernels on the same graph and
+    thread share one arena; the first call sizes it.
     """
-    key = id(obj)
-    scratch = _SCRATCHES.get(key)
+    key, tid = id(obj), threading.get_ident()
+    arenas = _SCRATCHES.get(key)
+    scratch = None if arenas is None else arenas.get(tid)
     if scratch is None or scratch.n != int(n_vertices):
         scratch = KernelScratch(n_vertices, n_edges)
-        try:
-            weakref.finalize(obj, _SCRATCHES.pop, key, None)
-        except TypeError:
-            # Un-weakref-able host (e.g. a SimpleNamespace test shim):
-            # hand back a fresh scratch without memoizing -- caching it
-            # with no finalizer would outlive the host and could collide
-            # with a recycled id.
-            return scratch
-        _SCRATCHES[key] = scratch
+        if arenas is None:
+            try:
+                weakref.finalize(obj, _SCRATCHES.pop, key, None)
+            except TypeError:
+                # Un-weakref-able host (e.g. a SimpleNamespace test
+                # shim): hand back a fresh scratch without memoizing --
+                # caching it with no finalizer would outlive the host
+                # and could collide with a recycled id.
+                return scratch
+            # No lock (a forked worker could inherit it held): threads
+            # racing here each register a finalizer (the second pop is
+            # a no-op) and ``setdefault`` hands them all one dict.
+            arenas = _SCRATCHES.setdefault(key, {})
+        arenas[tid] = scratch
     return scratch

@@ -57,11 +57,9 @@ class GrbMatrix:
     def transpose(self) -> "GrbMatrix":
         """A^T, built once and cached (GraphBLAS descriptors' INP0)."""
         if self._transpose is None:
-            src = self.csr.source_ids()
-            t = CSRGraph.from_arrays(self.csr.col_idx, src, self.n)
-            order = np.lexsort((src, self.csr.col_idx))
-            self._transpose = GrbMatrix(t, self.values[order],
-                                        profiler=self.profiler)
+            t = CSRGraph.from_arrays(self.csr.col_idx, self.csr.source_ids(),
+                                     self.n, weights=self.values)
+            self._transpose = GrbMatrix(t, profiler=self.profiler)
             self._transpose._transpose = self
         return self._transpose
 

@@ -41,6 +41,7 @@ from repro.service.graphs import ResidentGraphManager
 from repro.service.telemetry import ServiceTelemetry
 from repro.service.workers import WorkerPool
 from repro.systems.base import ALGORITHMS
+from repro.systems.registry import system_provides
 
 __all__ = ["QueryDaemon", "ServeConfig", "STATS_SCHEMA_VERSION"]
 
@@ -266,6 +267,12 @@ class QueryDaemon:
         if algorithm not in ALGORITHMS:
             return 400, {"error": "bad_request",
                          "detail": f"unknown algorithm {algorithm!r}"}, {}
+        # Refused before the breaker: a cell no query can ever serve is
+        # the client's error, not a failing system.
+        if algorithm not in system_provides(system):
+            return 400, {"error": "unsupported",
+                         "detail": f"system {system!r} does not provide "
+                                   f"{algorithm!r}"}, {}
         try:
             n_threads = int(payload.get("n_threads", 32))
             root = payload.get("root")

@@ -115,7 +115,8 @@ def _build_context(shard: int, n: int, arrays, weighted: bool,
 
 
 def _worker_main(shard: int, n: int, static_spec, dyn_spec,
-                 go, done, weighted: bool, has_in: bool) -> None:
+                 go, done, weighted: bool, has_in: bool,
+                 parent_pid: int) -> None:
     """Worker loop: attach arenas, then serve supersteps until told to
     shut down.  Each round is one ``go`` token in, one ``done`` token
     out -- plain semaphores, nothing a SIGKILLed sibling can leave
@@ -130,7 +131,6 @@ def _worker_main(shard: int, n: int, static_spec, dyn_spec,
     # children -- deadlocking the join that follows.  Restore the
     # default so this worker is always reapable.
     signal.signal(signal.SIGTERM, signal.SIG_DFL)
-    ppid = os.getppid()
     static = ShmArena.attach(static_spec)
     dyn = ShmArena.attach(dyn_spec)
     arrays = dict(static.arrays)
@@ -139,7 +139,10 @@ def _worker_main(shard: int, n: int, static_spec, dyn_spec,
     try:
         while True:
             while not go.acquire(True, ORPHAN_POLL_S):
-                if os.getppid() != ppid:
+                # ``parent_pid`` comes from the parent: a parent killed
+                # before this worker could ask would leave it comparing
+                # its new parent with itself and never noticing.
+                if os.getppid() != parent_pid:
                     return  # orphaned: parent died, shutdown never comes
             op = int(ctx.ctrl_i[ops.CTRL_OP])
             if op == ops.OP_SHUTDOWN:
@@ -228,7 +231,7 @@ class ShardEngine:
                         args=(k, self.n, self._static_arena.spec,
                               self._dyn_arena.spec, self._go[k],
                               self._done, self.weighted,
-                              self.has_in),
+                              self.has_in, os.getpid()),
                         daemon=True,
                         name=f"epg-shard-{k}")
                     proc.start()

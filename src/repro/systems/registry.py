@@ -15,7 +15,7 @@ from repro.errors import ConfigError
 from repro.systems.base import GraphSystem
 
 __all__ = ["ALL_SYSTEM_NAMES", "available_systems", "create_system",
-           "register_system", "unregister_system"]
+           "register_system", "system_provides", "unregister_system"]
 
 _FACTORIES: dict[str, Callable[..., GraphSystem]] = {}
 
@@ -70,6 +70,13 @@ def create_system(name: str, **kwargs) -> GraphSystem:
             f"unknown system {name!r}; available: {available_systems()}"
         ) from None
     return factory(**kwargs)
+
+
+def system_provides(name: str) -> frozenset[str]:
+    """Algorithms the registered system ``name`` declares in its
+    factory's ``provides`` (empty for an unknown name)."""
+    _ensure_builtin()
+    return frozenset(getattr(_FACTORIES.get(name), "provides", ()))
 
 
 ALL_SYSTEM_NAMES = ("gap", "graph500", "graphbig", "graphmat", "powergraph")

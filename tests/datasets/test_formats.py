@@ -1,10 +1,16 @@
 """Round-trip tests of every per-system file format."""
 
+import io
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.datasets import formats
 from repro.errors import GraphFormatError
+from repro.graph.edgelist import EdgeList
 
 
 def _assert_same_edges(a, b, check_weights=True, f32=False):
@@ -119,3 +125,66 @@ def test_unweighted_graphmat_records_weight_one(tmp_path, patents_small):
     p = formats.write_graphmat_bin(patents_small, tmp_path / "p.mtxbin")
     back = formats.read_graphmat_bin(p)
     assert not back.weighted  # flag preserved
+
+
+# ----------------------------------------------------------------------
+# The text row writer is byte-identical to np.savetxt, the writer it
+# replaced, for every format string the text formats use.
+# ----------------------------------------------------------------------
+_IDS = st.one_of(
+    st.sampled_from([0, 2**31 - 1, 2**31, 2**32 + 7, 2**53 - 1]),
+    st.integers(0, 2**53 - 1))
+_WEIGHTS = st.one_of(
+    st.sampled_from([5e-324, 0.1, 1e300, 1.0, 2.0, 2.0**52, 1e16]),
+    st.integers(-2**53, 2**53).map(float),
+    st.floats(allow_nan=False, allow_infinity=False))
+
+
+def _savetxt(columns, fmt: str) -> str:
+    fh = io.StringIO()
+    np.savetxt(fh, columns, fmt=fmt)
+    return fh.getvalue()
+
+
+def _written(write, chunk_rows: int) -> str:
+    fh = io.StringIO()
+    with mock.patch.object(formats, "_CHUNK_ROWS", chunk_rows):
+        write(fh)
+    return fh.getvalue()
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(_IDS, _IDS, _WEIGHTS), max_size=12))
+def test_row_writer_matches_savetxt(rows):
+    src = np.array([r[0] for r in rows], dtype=np.int64)
+    dst = np.array([r[1] for r in rows], dtype=np.int64)
+    w = np.array([r[2] for r in rows], dtype=np.float64)
+    unweighted = EdgeList(src, dst, 2**53)
+    weighted = EdgeList(src, dst, 2**53, weights=w)
+    for chunk_rows in (3, formats._CHUNK_ROWS):
+        # vertex.csv and roots.txt: one "%d" column.
+        assert _written(
+            lambda fh: fh.writelines(formats._render_rows("%d\n", (src,))),
+            chunk_rows) == _savetxt(src, "%d")
+        shared = formats.WeightedRows(weighted)
+        for sep in (" ", "\t", ","):  # .el/.wel, .tsv + SNAP, edge.csv
+            assert _written(
+                lambda fh: formats._write_edge_rows(fh, unweighted, sep,
+                                                    None),
+                chunk_rows) == _savetxt(np.column_stack([src, dst]),
+                                        f"%d{sep}%d")
+            expected = _savetxt(
+                np.column_stack([src.astype(np.float64),
+                                 dst.astype(np.float64), w]),
+                f"%d{sep}%d{sep}%.17g")
+            for rows_arg in (None, shared):
+                assert _written(
+                    lambda fh: formats._write_edge_rows(fh, weighted, sep,
+                                                        rows_arg),
+                    chunk_rows) == expected
+
+
+def test_weighted_rows_refuse_another_edge_list(tmp_path, kron10):
+    with pytest.raises(ValueError, match="different edge list"):
+        formats.write_el(kron10, tmp_path / "g.wel",
+                         formats.WeightedRows(kron10.copy()))

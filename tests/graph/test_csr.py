@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.errors import GraphFormatError
-from repro.graph.csr import CSRGraph
+from repro.graph.csr import MAX_KEYED_VERTICES, CSRGraph
 from repro.graph.edgelist import EdgeList
 
 
@@ -127,3 +127,29 @@ class TestEndpointValidation:
     def test_boundary_ids_accepted(self):
         csr = CSRGraph.from_arrays(np.array([0, 3]), np.array([3, 0]), 4)
         assert csr.n_edges == 2
+
+
+def forbid_numpy_allocation(monkeypatch) -> None:
+    """Make every NumPy call that could allocate ``n`` elements fail."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("allocated before the key-space guard")
+    for name in ("zeros", "empty", "ones", "full", "arange", "argsort",
+                 "searchsorted", "bincount", "cumsum"):
+        monkeypatch.setattr(np, name, refuse)
+
+
+class TestKeyOverflowGuard:
+    """Arcs sort by the int64 key ``src * n + dst``, which overflows once
+    ``n`` exceeds :data:`MAX_KEYED_VERTICES`."""
+
+    def test_bound_is_the_int64_key_limit(self):
+        top = int(np.iinfo(np.int64).max)
+        assert MAX_KEYED_VERTICES ** 2 - 1 <= top
+        assert (MAX_KEYED_VERTICES + 1) ** 2 - 1 > top
+
+    def test_from_arrays_refuses_before_allocating(self, monkeypatch):
+        n = MAX_KEYED_VERTICES + 1
+        src, dst = np.array([0]), np.array([1])
+        forbid_numpy_allocation(monkeypatch)
+        with pytest.raises(GraphFormatError, match=f"n = {n} vertices"):
+            CSRGraph.from_arrays(src, dst, n)

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import GraphFormatError
-from repro.graph.csr import CSRGraph
+from repro.graph.csr import MAX_KEYED_VERTICES, CSRGraph
 from repro.graph.dynamic import (
     AppliedBatch,
     DynamicGraph,
@@ -239,6 +239,18 @@ class TestValidation:
         with pytest.raises(GraphFormatError, match="insert_weights"):
             MutationBatch(insert_src=[0, 1], insert_dst=[1, 2],
                           insert_weights=[1.0])
+
+    def test_key_overflowing_n_refused_before_allocating(self,
+                                                         monkeypatch):
+        from tests.graph.test_csr import forbid_numpy_allocation
+
+        n = MAX_KEYED_VERTICES
+        g = DynamicGraph(n)     # the largest n whose keys fit
+        assert not g.has_arc(n - 1, n - 1)
+        forbid_numpy_allocation(monkeypatch)
+        with pytest.raises(GraphFormatError,
+                           match=f"n = {n + 1} vertices"):
+            DynamicGraph(n + 1)
 
 
 class TestMutationLog:

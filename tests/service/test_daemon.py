@@ -132,6 +132,24 @@ class TestDaemonHTTP:
                 assert "error" in body
             assert http_get(base + "/no-such-endpoint")[0] == 404
 
+    def test_unsupported_cell_is_400_and_trips_no_breaker(self, data_dir):
+        with running_daemon(data_dir, breaker_failures=1) as (daemon,
+                                                              base):
+            cell = {"graph": "kron6", "root": 3, "n_threads": 2}
+            for payload in ({"system": "graph500", "algorithm": "sssp"},
+                            {"system": "nope", "algorithm": "bfs"}):
+                status, body = post_query(base, {**cell, **payload})
+                assert status == 400, body
+                assert body["error"] == "unsupported"
+            status, body = post_query(
+                base, {**cell, "system": "graph500", "algorithm": "bfs"})
+            assert status == 200, body
+            breakers = daemon.stats()["breakers"]
+            assert breakers["kron6/graph500"]["state"] == "closed"
+            assert "kron6/nope" not in breakers
+            assert daemon.telemetry.counter_total(
+                "epg_serve_shed_total") == 0.0
+
     def test_metrics_labels_are_bounded(self, data_dir):
         with running_daemon(data_dir) as (daemon, base):
             # Arbitrary 404 paths must not mint new endpoint labels.
